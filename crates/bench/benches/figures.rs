@@ -11,8 +11,7 @@ use datamime::generator::{DnnGenerator, KvGenerator, SiloGenerator, XapianGenera
 use datamime::metrics::DistMetric;
 use datamime::profile_error;
 use datamime::profiler::{profile_app, profile_workload, CurveMethod, ProfilingConfig};
-use datamime::scalar::{scalar_search, ScalarSearchConfig};
-use datamime::search::{search, SearchConfig};
+use datamime::search::{search_with_runtime, Objective, RuntimeOptions, SearchConfig};
 use datamime::workload::{AppConfig, Workload};
 use datamime_apps::{
     ImgDnnConfig, KvConfig, MasstreeConfig, SearchConfig as XapianConfig, SiloConfig,
@@ -206,17 +205,28 @@ fn fig10_convergence(c: &mut Criterion) {
     let machine = MachineConfig::broadwell();
     let cfg = tiny_search_cfg(6);
     let target = profile_workload(&tiny_mem_fb(), &machine, &cfg.profiling);
+    let seq = RuntimeOptions::sequential();
     c.bench_function("fig10/search-6-iterations", |b| {
-        b.iter(|| search(&KvGenerator::new(), &target, &cfg).best_error)
+        b.iter(|| {
+            search_with_runtime(&KvGenerator::new(), &target, &cfg, &seq).map(|o| o.best_error)
+        })
     });
 }
 
 fn fig11_scalar_target(c: &mut Criterion) {
-    // Fig. 11: one scalar-target search point.
-    let mut cfg = ScalarSearchConfig::fast(5);
-    cfg.profiling = tiny_profiling().without_curves();
+    // Fig. 11: one scalar-target search point (the target profile is unused).
+    let mut cfg = tiny_search_cfg(5);
+    cfg.seed = 0x5CA1A7;
+    cfg.objective = Objective::Scalar {
+        metric: DistMetric::Ipc,
+        target: 1.0,
+    };
+    let target = profile_workload(&tiny_mem_fb(), &MachineConfig::broadwell(), &cfg.profiling);
+    let seq = RuntimeOptions::sequential();
     c.bench_function("fig11/scalar-target-point", |b| {
-        b.iter(|| scalar_search(&KvGenerator::new(), DistMetric::Ipc, 1.0, &cfg).achieved)
+        b.iter(|| {
+            search_with_runtime(&KvGenerator::new(), &target, &cfg, &seq).map(|o| o.best_error)
+        })
     });
 }
 

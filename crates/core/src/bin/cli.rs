@@ -13,7 +13,7 @@ use datamime::generator::generator_for_program;
 use datamime::metrics::DistMetric;
 use datamime::profiler::{profile_workload, ProfilingConfig};
 use datamime::search::{
-    search, search_with_runtime, BackendChoice, ProcOptions, RuntimeOptions, SearchConfig,
+    search_with_runtime, BackendChoice, ProcOptions, RuntimeOptions, SearchConfig,
 };
 use datamime::servectl::ServeClient;
 use datamime::workload::Workload;
@@ -340,7 +340,9 @@ fn cmd_validate(workload: &Workload, opts: &Options) -> Result<(), String> {
         workload.name, cfg.iterations
     );
     let target = profile_workload(workload, &cfg.machine, &cfg.profiling);
-    let outcome = search(generator.as_ref(), &target, &cfg);
+    let seq = RuntimeOptions::sequential();
+    let outcome =
+        search_with_runtime(generator.as_ref(), &target, &cfg, &seq).map_err(|e| e.to_string())?;
     eprintln!("validating across machines ...");
     let report =
         datamime::validate::validate_paper_setup(workload, &outcome.best_workload, &cfg.profiling);

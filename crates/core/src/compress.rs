@@ -12,16 +12,12 @@
 //!   compression ratio (via the application's sampled value contents);
 //! - [`KvGeneratorCompressible`] extends the Table-III memcached generator
 //!   with a `value_redundancy` parameter;
-//! - [`search_compress_aware`] runs the Datamime search with the ratio
-//!   mismatch added to the EMD objective.
+//! - [`Objective::CompressionRatio`](crate::search::Objective) makes
+//!   [`search_with_runtime`](crate::search::search_with_runtime) add the
+//!   ratio mismatch to the EMD objective.
 
-use crate::error_model::profile_error;
 use crate::generator::{DatasetGenerator, KvGenerator, ParamSpec};
-use crate::profile::Profile;
-use crate::profiler::profile_workload;
-use crate::search::{IterationRecord, SearchConfig, SearchOutcome, SearchStats};
 use crate::workload::{AppConfig, Workload};
-use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig};
 use datamime_stats::compress::estimate_compression_ratio;
 
 /// Measures the compression ratio of a workload's memory snapshot, or
@@ -87,73 +83,11 @@ impl DatasetGenerator for KvGeneratorCompressible {
     }
 }
 
-/// Runs a Datamime search whose objective adds the compression-ratio
-/// mismatch, weighted by `ratio_weight`, to the usual EMD error:
-/// `E = E_emd + ratio_weight * |ratio(candidate) − target_ratio|`.
-///
-/// Candidates whose application does not expose snapshots incur the full
-/// mismatch penalty (they cannot satisfy the compressibility requirement).
-///
-/// # Panics
-///
-/// Panics if `cfg.iterations == 0`, `target_ratio` is outside `(0, 1]`, or
-/// `ratio_weight` is negative.
-pub fn search_compress_aware(
-    generator: &dyn DatasetGenerator,
-    target_profile: &Profile,
-    target_ratio: f64,
-    ratio_weight: f64,
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    assert!(cfg.iterations > 0, "need at least one iteration");
-    assert!(
-        target_ratio > 0.0 && target_ratio <= 1.0,
-        "ratio must be in (0, 1]"
-    );
-    assert!(ratio_weight >= 0.0, "weight must be non-negative");
-
-    let mut bo = BayesOpt::new(BoConfig::for_dims(generator.dims()), cfg.seed);
-    let mut history = Vec::with_capacity(cfg.iterations);
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for _ in 0..cfg.iterations {
-        let unit = bo.suggest();
-        let workload = generator.instantiate(&unit);
-        let profile = profile_workload(&workload, &cfg.machine, &cfg.profiling);
-        let emd = profile_error(target_profile, &profile, &cfg.weights).total;
-        let ratio_err = match workload_compression_ratio(&workload) {
-            Some(r) => (r - target_ratio).abs(),
-            None => 1.0,
-        };
-        let err = emd + ratio_weight * ratio_err;
-        bo.observe(unit.clone(), err);
-        if best.as_ref().is_none_or(|(_, be)| err < *be) {
-            best = Some((unit.clone(), err));
-        }
-        history.push(IterationRecord {
-            unit_params: unit,
-            error: err,
-        });
-    }
-    let (best_unit_params, best_error) = best.expect("at least one iteration ran");
-    let best_workload = generator.instantiate(&best_unit_params);
-    let best_profile = profile_workload(&best_workload, &cfg.machine, &cfg.profiling);
-    SearchOutcome {
-        best_unit_params,
-        best_workload,
-        best_profile,
-        best_error,
-        history,
-        stats: SearchStats {
-            evaluated: cfg.iterations + 1, // every iteration plus the final re-profile
-            ..SearchStats::default()
-        },
-        quota: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiler::profile_workload;
+    use crate::search::{search_with_runtime, Objective, RuntimeOptions, SearchConfig};
     use datamime_apps::KvConfig;
 
     fn compressible_target(redundancy: f64) -> Workload {
@@ -199,14 +133,18 @@ mod tests {
         // Focus entirely on compressibility to keep the test cheap.
         cfg.weights = crate::error_model::MetricWeights::only(crate::metrics::DistMetric::Ipc)
             .with_dist_weight(crate::metrics::DistMetric::Ipc, 0.1);
+        cfg.objective = Objective::CompressionRatio {
+            target_ratio,
+            weight: 4.0,
+        };
         let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
-        let outcome = search_compress_aware(
+        let outcome = search_with_runtime(
             &KvGeneratorCompressible::new(),
             &target_profile,
-            target_ratio,
-            4.0,
             &cfg,
-        );
+            &RuntimeOptions::sequential(),
+        )
+        .unwrap();
         let got = workload_compression_ratio(&outcome.best_workload).unwrap();
         assert!(
             (got - target_ratio).abs() < 0.15,
@@ -217,9 +155,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "ratio must be in (0, 1]")]
     fn invalid_ratio_panics() {
-        let cfg = SearchConfig::fast(1);
+        let mut cfg = SearchConfig::fast(1);
+        cfg.objective = Objective::CompressionRatio {
+            target_ratio: 0.0,
+            weight: 1.0,
+        };
         let target = compressible_target(0.5);
         let p = profile_workload(&target, &cfg.machine, &cfg.profiling);
-        search_compress_aware(&KvGeneratorCompressible::new(), &p, 0.0, 1.0, &cfg);
+        let _ = search_with_runtime(
+            &KvGeneratorCompressible::new(),
+            &p,
+            &cfg,
+            &RuntimeOptions::sequential(),
+        );
     }
 }

@@ -42,8 +42,11 @@ impl MetricWeights {
         }
     }
 
-    /// Weight for a single distribution metric and nothing else (Fig. 11's
-    /// single-metric range sweeps).
+    /// Weight for a single distribution metric and nothing else: the EMD
+    /// error of that metric's whole distribution. (Fig. 11's range sweeps
+    /// match a metric's *mean* instead, via
+    /// [`Objective::Scalar`](crate::search::Objective::Scalar), and read no
+    /// weights.)
     pub fn only(metric: DistMetric) -> Self {
         let mut w = MetricWeights {
             dist: DistMetric::ALL.iter().map(|&m| (m, 0.0)).collect(),

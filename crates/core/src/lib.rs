@@ -14,8 +14,9 @@
 //!    plus LLC-MPKI/IPC cache-sensitivity curves via CAT partitioning;
 //! 2. a [`DatasetGenerator`] (one per program, parameterized per
 //!    Table III) maps optimizer points to concrete datasets;
-//! 3. [`search()`](search::search) runs GP-EI Bayesian optimization minimizing the
-//!    normalized-EMD profile error ([`error_model`], Eq. 1);
+//! 3. [`search_with_runtime`] runs GP-EI Bayesian optimization minimizing
+//!    the normalized-EMD profile error ([`error_model`], Eq. 1) — or, via
+//!    [`search::Objective`], a compression-aware or scalar-metric target;
 //! 4. the lowest-error dataset is the synthesized benchmark.
 //!
 //! # Examples
@@ -26,7 +27,8 @@
 //! ```
 //! use datamime::{
 //!     generator::KvGenerator, profiler::{profile_workload, ProfilingConfig},
-//!     search::{search, SearchConfig}, workload::Workload, metrics::DistMetric,
+//!     search::{search_with_runtime, RuntimeOptions, SearchConfig},
+//!     workload::Workload, metrics::DistMetric,
 //! };
 //!
 //! // 1. Profile the "production" workload.
@@ -35,10 +37,16 @@
 //! let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
 //!
 //! // 2-4. Search the memcached dataset space for a matching dataset.
-//! let outcome = search(&KvGenerator::new(), &target_profile, &cfg);
+//! let outcome = search_with_runtime(
+//!     &KvGenerator::new(),
+//!     &target_profile,
+//!     &cfg,
+//!     &RuntimeOptions::sequential(),
+//! )?;
 //! let ipc_err = (outcome.best_profile.mean(DistMetric::Ipc)
 //!     - target_profile.mean(DistMetric::Ipc)).abs();
 //! assert!(ipc_err.is_finite());
+//! # Ok::<(), datamime_runtime::ExecError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,7 +69,7 @@ pub mod validate;
 pub mod workload;
 
 pub use arena::EvalArena;
-pub use compress::{search_compress_aware, workload_compression_ratio, KvGeneratorCompressible};
+pub use compress::{workload_compression_ratio, KvGeneratorCompressible};
 pub use constrained::{ConstrainedGenerator, ConstraintError, ParamConstraint};
 pub use error_model::{profile_error, DistanceKind, ErrorBreakdown, MetricWeights};
 pub use generator::{
@@ -72,10 +80,10 @@ pub use jobspec::{JobBackend, JobSpec};
 pub use metrics::{CurveMetric, DistMetric};
 pub use profile::{CurvePoint, EmptyProfileError, Profile};
 pub use profiler::{profile_app, profile_workload, ProfilingConfig};
-pub use scalar::{scalar_search, scalar_sweep, ScalarOutcome, ScalarSearchConfig};
+pub use scalar::{scalar_sweep, ScalarOutcome};
 pub use search::{
-    search, search_parallel, search_with_runtime, BackendChoice, IterationRecord, OptimizerKind,
-    ProcOptions, RuntimeOptions, SearchConfig, SearchOutcome, SearchStats,
+    search_with_runtime, BackendChoice, IterationRecord, Objective, OptimizerKind, ProcOptions,
+    RuntimeOptions, SearchConfig, SearchOutcome, SearchStats,
 };
 pub use servectl::{JobResult, JobState, JobStatus, ServeClient, ADMIN_SOCKET, JOB_SOCKET};
 pub use validate::{validate_clone, validate_paper_setup, ValidationReport, ValidationRow};

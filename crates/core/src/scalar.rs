@@ -2,40 +2,17 @@
 //! single metric (paper Sec. V-E, Fig. 11).
 //!
 //! Instead of matching a full target profile, the objective is the
-//! relative distance between one metric's mean and a requested value. The
-//! achievable range of each generator is measured by sweeping the
-//! requested value and recording what the search actually reaches.
+//! relative distance between one metric's mean and a requested value
+//! ([`Objective::Scalar`]). The achievable range of each generator is
+//! measured by sweeping the requested value and recording what the search
+//! actually reaches.
 
 use crate::generator::DatasetGenerator;
 use crate::metrics::DistMetric;
-use crate::profiler::{profile_workload, ProfilingConfig};
-use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig};
-use datamime_sim::MachineConfig;
-
-/// Configuration of a scalar-target search.
-#[derive(Debug, Clone)]
-pub struct ScalarSearchConfig {
-    /// Optimizer iterations per target value.
-    pub iterations: usize,
-    /// Machine to profile on.
-    pub machine: MachineConfig,
-    /// Profiling fidelity (curves are unnecessary and skipped).
-    pub profiling: ProfilingConfig,
-    /// Optimizer seed.
-    pub seed: u64,
-}
-
-impl ScalarSearchConfig {
-    /// A reduced-cost configuration for experiments.
-    pub fn fast(iterations: usize) -> Self {
-        ScalarSearchConfig {
-            iterations,
-            machine: MachineConfig::broadwell(),
-            profiling: ProfilingConfig::fast().without_curves(),
-            seed: 0x5CA1A7,
-        }
-    }
-}
+use crate::profile::Profile;
+use crate::search::{search_with_runtime, Objective, RuntimeOptions, SearchConfig};
+use datamime_runtime::ExecError;
+use datamime_sim::MetricSample;
 
 /// Result of one scalar-target search.
 #[derive(Debug, Clone)]
@@ -48,62 +25,52 @@ pub struct ScalarOutcome {
     pub best_unit_params: Vec<f64>,
 }
 
-/// Searches for dataset parameters that drive `metric`'s mean to `target`.
-///
-/// # Panics
-///
-/// Panics if `cfg.iterations == 0` or `target` is not finite.
-pub fn scalar_search(
-    generator: &dyn DatasetGenerator,
-    metric: DistMetric,
-    target: f64,
-    cfg: &ScalarSearchConfig,
-) -> ScalarOutcome {
-    assert!(cfg.iterations > 0, "need at least one iteration");
-    assert!(target.is_finite(), "target must be finite");
-    let mut bo = BayesOpt::new(BoConfig::for_dims(generator.dims()), cfg.seed);
-    let mut best: Option<(Vec<f64>, f64, f64)> = None; // (params, err, achieved)
-    let scale = target.abs().max(1e-3);
-    for _ in 0..cfg.iterations {
-        let unit = bo.suggest();
-        let workload = generator.instantiate(&unit);
-        let profile = profile_workload(&workload, &cfg.machine, &cfg.profiling);
-        let achieved = profile.mean(metric);
-        let err = (achieved - target).abs() / scale;
-        bo.observe(unit.clone(), err);
-        if best.as_ref().is_none_or(|(_, be, _)| err < *be) {
-            best = Some((unit, err, achieved));
-        }
-    }
-    let (best_unit_params, _, achieved) = best.expect("at least one iteration ran");
-    ScalarOutcome {
-        requested: target,
-        achieved,
-        best_unit_params,
-    }
+/// A stand-in target profile: the scalar objective never reads it.
+fn unused_target() -> Profile {
+    Profile::from_samples(&[MetricSample::default()], Vec::new()).expect("one finite sample")
 }
 
 /// Sweeps `n_points` evenly spaced target values in `[lo, hi]` (Fig. 11's
 /// 15-point sweeps) and returns one outcome per point.
 ///
+/// Each point is its own [`search_with_runtime`] run of `cfg` with
+/// [`Objective::Scalar`] set to the point's target and the seed XORed
+/// with `index << 32`. `opts` applies to every point, so it should name
+/// no journal: the points' run labels differ, and a journal written by
+/// one point cannot be resumed by another.
+///
+/// # Errors
+///
+/// As [`search_with_runtime`].
+///
 /// # Panics
 ///
-/// Panics if the range is empty or `n_points < 2`.
+/// Panics if the range is empty, `n_points < 2`, or `cfg.iterations == 0`.
 pub fn scalar_sweep(
-    generator: &dyn DatasetGenerator,
+    generator: &(dyn DatasetGenerator + Sync),
     metric: DistMetric,
     lo: f64,
     hi: f64,
     n_points: usize,
-    cfg: &ScalarSearchConfig,
-) -> Vec<ScalarOutcome> {
+    cfg: &SearchConfig,
+    opts: &RuntimeOptions,
+) -> Result<Vec<ScalarOutcome>, ExecError> {
     assert!(lo < hi && n_points >= 2, "invalid sweep range");
+    let unused_target = unused_target();
     (0..n_points)
         .map(|i| {
-            let t = lo + (hi - lo) * i as f64 / (n_points - 1) as f64;
-            let mut cfg_i = cfg.clone();
-            cfg_i.seed ^= (i as u64) << 32;
-            scalar_search(generator, metric, t, &cfg_i)
+            let target = lo + (hi - lo) * i as f64 / (n_points - 1) as f64;
+            let cfg = SearchConfig {
+                seed: cfg.seed ^ ((i as u64) << 32),
+                objective: Objective::Scalar { metric, target },
+                ..cfg.clone()
+            };
+            let outcome = search_with_runtime(generator, &unused_target, &cfg, opts)?;
+            Ok(ScalarOutcome {
+                requested: target,
+                achieved: outcome.best_profile.mean(metric),
+                best_unit_params: outcome.best_unit_params,
+            })
         })
         .collect()
 }
@@ -113,14 +80,32 @@ mod tests {
     use super::*;
     use crate::generator::KvGenerator;
 
+    /// The Fig. 11 search configuration: fast profiling without curves.
+    fn scalar_cfg(iterations: usize, metric: DistMetric, target: f64) -> SearchConfig {
+        let mut cfg = SearchConfig::fast(iterations);
+        cfg.profiling = cfg.profiling.without_curves();
+        cfg.seed = 0x5CA1A7;
+        cfg.objective = Objective::Scalar { metric, target };
+        cfg
+    }
+
+    fn achieved(cfg: &SearchConfig) -> f64 {
+        let outcome = search_with_runtime(
+            &KvGenerator::new(),
+            &unused_target(),
+            cfg,
+            &RuntimeOptions::sequential(),
+        )
+        .unwrap();
+        outcome.best_profile.mean(DistMetric::Ipc)
+    }
+
     #[test]
     fn scalar_search_approaches_reachable_target() {
-        let cfg = ScalarSearchConfig::fast(12);
-        let out = scalar_search(&KvGenerator::new(), DistMetric::Ipc, 1.0, &cfg);
+        let achieved = achieved(&scalar_cfg(12, DistMetric::Ipc, 1.0));
         assert!(
-            (out.achieved - 1.0).abs() < 0.25,
-            "requested 1.0, achieved {}",
-            out.achieved
+            (achieved - 1.0).abs() < 0.25,
+            "requested 1.0, achieved {achieved}"
         );
     }
 
@@ -128,15 +113,22 @@ mod tests {
     fn unreachable_target_saturates() {
         // No memcached dataset reaches IPC 50; the search should end at the
         // generator's ceiling, far below the request.
-        let cfg = ScalarSearchConfig::fast(6);
-        let out = scalar_search(&KvGenerator::new(), DistMetric::Ipc, 50.0, &cfg);
-        assert!(out.achieved < 5.0, "achieved {}", out.achieved);
+        let achieved = achieved(&scalar_cfg(6, DistMetric::Ipc, 50.0));
+        assert!(achieved < 5.0, "achieved {achieved}");
     }
 
     #[test]
     #[should_panic(expected = "invalid sweep range")]
     fn bad_sweep_panics() {
-        let cfg = ScalarSearchConfig::fast(1);
-        scalar_sweep(&KvGenerator::new(), DistMetric::Ipc, 1.0, 1.0, 2, &cfg);
+        let cfg = scalar_cfg(1, DistMetric::Ipc, 1.0);
+        let _ = scalar_sweep(
+            &KvGenerator::new(),
+            DistMetric::Ipc,
+            1.0,
+            1.0,
+            2,
+            &cfg,
+            &RuntimeOptions::sequential(),
+        );
     }
 }

@@ -2,23 +2,28 @@
 //!
 //! Each iteration: the optimizer proposes dataset-generator parameters,
 //! the generator synthesizes a dataset, the benchmark runs and is profiled
-//! exactly like the target, the EMD error against the target profile is
-//! computed, and the error is fed back to the optimizer.
+//! exactly like the target, the candidate is scored by the configured
+//! [`Objective`], and the score is fed back to the optimizer.
 //!
 //! The loop itself is executed by [`datamime_runtime`]'s [`Executor`]: this
-//! module supplies the evaluation closure (instantiate → profile → error)
+//! module supplies the evaluation closure (instantiate → profile → score)
 //! and translates between the search-level and runtime-level vocabularies.
-//! [`search`] runs the executor with `batch_k = 1`, which is bit-for-bit
-//! the paper's sequential loop; [`search_with_runtime`] exposes batching,
-//! worker pools, journaling and resume.
+//! [`search_with_runtime`] is the one entry point; with
+//! [`RuntimeOptions::sequential`] it is bit-for-bit the paper's sequential
+//! loop, and the other options add batching, worker pools, journaling and
+//! resume. The scalar-target sweeps of Fig. 11, the compressibility
+//! extension of Sec. III-D and the acquisition ablation are the same loop
+//! with a different [`Objective`] or [`OptimizerKind`].
 
 use crate::arena::EvalArena;
+use crate::compress::workload_compression_ratio;
 use crate::error_model::{profile_error, MetricWeights};
 use crate::generator::{DatasetGenerator, ParamSpec};
+use crate::metrics::DistMetric;
 use crate::profile::Profile;
 use crate::profiler::{profile_workload, profile_workload_cancellable_in, ProfilingConfig};
 use crate::workload::Workload;
-use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
+use datamime_bayesopt::{Acquisition, BayesOpt, BlackBoxOptimizer, BoConfig, RandomSearch};
 use datamime_runtime::{
     canonical_bits, fingerprint, replay, CancelToken, DiskFaultInjector, ExecError, Executor,
     FailPolicy, FanoutSink, FaultPlan, GateHandle, JournalWriter, MemoKeyFn, MetricsRegistry,
@@ -35,6 +40,9 @@ use std::time::Duration;
 pub enum OptimizerKind {
     /// GP-EI Bayesian optimization (the paper's choice).
     Bayesian,
+    /// GP Bayesian optimization with the lower-confidence-bound
+    /// acquisition instead of EI (the acquisition ablation).
+    BayesianLcb,
     /// Uniform random search (ablation baseline).
     Random,
 }
@@ -44,7 +52,101 @@ impl OptimizerKind {
     pub fn tag(self) -> &'static str {
         match self {
             OptimizerKind::Bayesian => "bayesian",
+            OptimizerKind::BayesianLcb => "bayesian-lcb",
             OptimizerKind::Random => "random",
+        }
+    }
+}
+
+/// What a search minimizes. Every variant runs the same loop; only the
+/// score of a profiled candidate differs.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum Objective {
+    /// The weighted EMD error against the target profile (paper Eq. 1).
+    #[default]
+    ProfileEmd,
+    /// The EMD error plus `weight * |ratio - target_ratio|`, where `ratio`
+    /// is the candidate's memory-snapshot compression ratio (paper
+    /// Sec. III-D); a candidate without a snapshot scores `emd + weight`.
+    CompressionRatio {
+        /// The target's compression ratio, in `(0, 1]`.
+        target_ratio: f64,
+        /// Weight of the ratio mismatch (non-negative).
+        weight: f64,
+    },
+    /// The relative distance `|mean - target| / max(|target|, 1e-3)` of
+    /// one metric's mean to a requested value (paper Fig. 11). The target
+    /// profile and metric weights are not consulted.
+    Scalar {
+        /// The metric whose mean is driven to `target`.
+        metric: DistMetric,
+        /// The requested mean (finite).
+        target: f64,
+    },
+}
+
+impl Objective {
+    /// Panics on parameters the objective cannot score.
+    fn check(&self) {
+        if let Objective::CompressionRatio {
+            target_ratio,
+            weight,
+        } = *self
+        {
+            assert!(
+                target_ratio > 0.0 && target_ratio <= 1.0,
+                "ratio must be in (0, 1]"
+            );
+            assert!(weight >= 0.0, "weight must be non-negative");
+        }
+        if let Objective::Scalar { target, .. } = *self {
+            assert!(target.is_finite(), "target must be finite");
+        }
+    }
+
+    /// The suffix a non-default objective adds to the run label, so a
+    /// journal recorded under one objective cannot be resumed under
+    /// another; `None` for the default, whose label is unchanged.
+    fn tag(&self) -> Option<String> {
+        match *self {
+            Objective::ProfileEmd => None,
+            Objective::CompressionRatio {
+                target_ratio,
+                weight,
+            } => Some(format!(
+                "compress:{:016x}:{:016x}",
+                target_ratio.to_bits(),
+                weight.to_bits()
+            )),
+            Objective::Scalar { metric, target } => {
+                Some(format!("scalar:{}:{:016x}", metric.key(), target.to_bits()))
+            }
+        }
+    }
+
+    /// Scores one profiled candidate.
+    fn score(
+        &self,
+        target_profile: &Profile,
+        workload: &Workload,
+        profile: &Profile,
+        weights: &MetricWeights,
+    ) -> f64 {
+        match *self {
+            Objective::ProfileEmd => profile_error(target_profile, profile, weights).total,
+            Objective::CompressionRatio {
+                target_ratio,
+                weight,
+            } => {
+                let emd = profile_error(target_profile, profile, weights).total;
+                match workload_compression_ratio(workload) {
+                    Some(ratio) => emd + weight * (ratio - target_ratio).abs(),
+                    None => emd + weight,
+                }
+            }
+            Objective::Scalar { metric, target } => {
+                (profile.mean(metric) - target).abs() / target.abs().max(1e-3)
+            }
         }
     }
 }
@@ -64,6 +166,8 @@ pub struct SearchConfig {
     pub optimizer: OptimizerKind,
     /// Seed for the optimizer.
     pub seed: u64,
+    /// What the search minimizes.
+    pub objective: Objective,
 }
 
 impl SearchConfig {
@@ -77,6 +181,7 @@ impl SearchConfig {
             weights: MetricWeights::equal(),
             optimizer: OptimizerKind::Bayesian,
             seed: 0xDA7A_417E,
+            objective: Objective::ProfileEmd,
         }
     }
 
@@ -89,6 +194,7 @@ impl SearchConfig {
             weights: MetricWeights::equal(),
             optimizer: OptimizerKind::Bayesian,
             seed: 0xDA7A_417E,
+            objective: Objective::ProfileEmd,
         }
     }
 }
@@ -279,6 +385,11 @@ impl SearchOutcome {
 fn make_optimizer(cfg: &SearchConfig, dims: usize) -> Box<dyn BlackBoxOptimizer> {
     match cfg.optimizer {
         OptimizerKind::Bayesian => Box::new(BayesOpt::new(BoConfig::for_dims(dims), cfg.seed)),
+        OptimizerKind::BayesianLcb => {
+            let mut bo = BoConfig::for_dims(dims);
+            bo.acquisition = Acquisition::LowerConfidenceBound;
+            Box::new(BayesOpt::new(bo, cfg.seed))
+        }
         OptimizerKind::Random => Box::new(RandomSearch::new(dims, cfg.seed)),
     }
 }
@@ -288,8 +399,12 @@ fn run_meta(
     cfg: &SearchConfig,
     opts: &RuntimeOptions,
 ) -> RunMeta {
+    let label = match cfg.objective.tag() {
+        None => generator.name().to_string(),
+        Some(tag) => format!("{}/{tag}", generator.name()),
+    };
     RunMeta {
-        label: generator.name().to_string(),
+        label,
         seed: cfg.seed,
         dims: generator.dims(),
         iterations: cfg.iterations,
@@ -335,6 +450,8 @@ pub(crate) fn hash_str(s: &str) -> u64 {
 /// evaluation's outcome — machine configuration, profiling fidelity,
 /// error-model weights, and the seed. The process backend extends this
 /// with protocol/worker identity (see [`crate::distproc::dist_context`]).
+/// The objective is left out: a memo cache lives for one run, and one run
+/// has one objective.
 pub(crate) fn memo_context(cfg: &SearchConfig) -> u64 {
     fingerprint(&[
         cfg.seed,
@@ -395,37 +512,33 @@ impl BestTracker {
     }
 }
 
-/// One evaluation: instantiate → profile → error, with each stage timed.
+/// One evaluation: instantiate → profile → score, with each stage timed.
 /// The cancel token reaches the profiler's sampling loops so a deadline
-/// can stop a runaway evaluation cooperatively.
-fn evaluate(
+/// can stop a runaway evaluation cooperatively. The thread backend and
+/// `datamime-worker` processes both evaluate through this function.
+pub(crate) fn evaluate(
     generator: &dyn DatasetGenerator,
     target_profile: &Profile,
     cfg: &SearchConfig,
-    tracker: &BestTracker,
     unit: &[f64],
     stages: &mut StageTimes,
     cancel: &CancelToken,
-) -> f64 {
+) -> (f64, Workload, Profile) {
     let workload = stages.time("instantiate", || generator.instantiate(unit));
     let profile = stages.time("profile", || {
-        // Each worker thread recycles its simulator state across
-        // evaluations (and across supervisor retries) through its
-        // thread-local arena; results are bit-identical to fresh state.
+        // Each worker thread (and worker process) recycles its simulator
+        // state across evaluations (and across supervisor retries)
+        // through its thread-local arena; results are bit-identical to
+        // fresh state.
         EvalArena::with_thread_local(|arena| {
             profile_workload_cancellable_in(&workload, &cfg.machine, &cfg.profiling, cancel, arena)
         })
     });
     let error = stages.time("error", || {
-        profile_error(target_profile, &profile, &cfg.weights).total
+        cfg.objective
+            .score(target_profile, &workload, &profile, &cfg.weights)
     });
-    // A cancelled evaluation produced a truncated profile and will be
-    // penalized by the supervisor — its artifacts must not be remembered.
-    if !cancel.is_cancelled() {
-        let key_bits = canonical_bits(&denormalized_params(generator.param_specs(), unit));
-        tracker.offer(error, key_bits, &workload, &profile);
-    }
-    error
+    (error, workload, profile)
 }
 
 /// The supervisor configuration implied by `opts` (penalty, backoff, and
@@ -547,27 +660,35 @@ fn build_executor(
     Ok(exec)
 }
 
-/// Runs a Datamime search under full runtime control: batched suggestions,
-/// a worker pool, an optional crash-safe journal, and optional resume.
+/// Runs a Datamime search for a dataset that makes `generator`'s program
+/// minimize `cfg.objective` — by default, mimic `target_profile` — under
+/// full runtime control: batched suggestions, a worker pool, supervision,
+/// the evaluation memo, an optional crash-safe journal, and optional
+/// resume.
 ///
 /// Results are a deterministic function of `(cfg.seed, opts.batch_k)`:
-/// observations are applied in batch order regardless of worker scheduling,
-/// and `batch_k <= 1` is bit-for-bit the sequential [`search`].
+/// observations are applied in batch order regardless of worker
+/// scheduling, and `batch_k <= 1` is bit-for-bit the paper's sequential
+/// suggest → evaluate → observe loop.
 ///
 /// # Errors
 ///
-/// Fails on journal I/O errors or when `opts.resume` names a journal
-/// recorded under a different search configuration.
+/// Fails on journal I/O errors, when `opts.resume` names a journal
+/// recorded under a different search configuration (objective included),
+/// or on process-backend failures — including a non-default objective,
+/// which `datamime-worker` processes cannot score.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.iterations == 0`.
+/// Panics if `cfg.iterations == 0` or `cfg.objective` has out-of-range
+/// parameters.
 pub fn search_with_runtime(
     generator: &(dyn DatasetGenerator + Sync),
     target_profile: &Profile,
     cfg: &SearchConfig,
     opts: &RuntimeOptions,
 ) -> Result<SearchOutcome, ExecError> {
+    cfg.objective.check();
     if let BackendChoice::Process(proc) = &opts.backend {
         return search_with_process_backend(generator, target_profile, cfg, opts, proc);
     }
@@ -580,15 +701,16 @@ pub fn search_with_runtime(
     )?;
     let tracker = BestTracker::default();
     let run = exec.run(optimizer.as_mut(), &|unit, stages, cancel| {
-        evaluate(
-            generator,
-            target_profile,
-            cfg,
-            &tracker,
-            unit,
-            stages,
-            cancel,
-        )
+        let (error, workload, profile) =
+            evaluate(generator, target_profile, cfg, unit, stages, cancel);
+        // A cancelled evaluation produced a truncated profile and will be
+        // penalized by the supervisor — its artifacts must not be
+        // remembered.
+        if !cancel.is_cancelled() {
+            let key_bits = canonical_bits(&denormalized_params(generator.param_specs(), unit));
+            tracker.offer(error, key_bits, &workload, &profile);
+        }
+        error
     })?;
     Ok(finish(generator, cfg, run, tracker))
 }
@@ -635,6 +757,14 @@ fn search_with_process_backend(
     use crate::distproc::{dist_context, EvalSpec};
     use datamime_dist::{Broker, BrokerConfig};
 
+    // Workers score only the profile EMD; carrying another objective
+    // over the wire would change the worker protocol.
+    if cfg.objective != Objective::ProfileEmd {
+        return Err(ExecError::Backend(format!(
+            "the process backend scores only the profile EMD objective, not {:?}",
+            cfg.objective
+        )));
+    }
     let dir = std::env::temp_dir().join(format!(
         "datamime-proc-{}-{}",
         std::process::id(),
@@ -678,80 +808,31 @@ fn search_with_process_backend(
     result
 }
 
-/// Runs a Datamime search for a dataset that makes `generator`'s program
-/// mimic `target_profile`.
-///
-/// This is the paper's sequential loop, executed on the runtime with
-/// `batch_k = 1`, no journal, and no supervision (so it cannot fail,
-/// keeps the legacy fail-fast behavior, and needs no `Sync` bound on the
-/// generator).
-///
-/// # Panics
-///
-/// Panics if `cfg.iterations == 0`.
-pub fn search(
-    generator: &dyn DatasetGenerator,
-    target_profile: &Profile,
-    cfg: &SearchConfig,
-) -> SearchOutcome {
-    let opts = RuntimeOptions::sequential();
-    let mut optimizer = make_optimizer(cfg, generator.dims());
-    let exec = Executor::new(run_meta(generator, cfg, &opts))
-        .memoize_keyed(memo_context(cfg), memo_key(generator));
-    let tracker = BestTracker::default();
-    let run = exec
-        .run_seq(optimizer.as_mut(), &mut |unit, stages, cancel| {
-            evaluate(
-                generator,
-                target_profile,
-                cfg,
-                &tracker,
-                unit,
-                stages,
-                cancel,
-            )
-        })
-        // audit:allow(panic-safety): run_seq only fails on journal I/O, and this run has no journal
-        .expect("journal-less sequential run cannot fail");
-    finish(generator, cfg, run, tracker)
-}
-
-/// Runs a Datamime search with *parallel* candidate evaluation: the
-/// optimizer proposes batches via the constant-liar strategy and a worker
-/// pool of `batch` threads profiles them concurrently.
-///
-/// This is the parallelization the paper defers to future work (Sec. IV).
-/// Results are deterministic for a given seed: observations are applied in
-/// batch order regardless of thread completion order. With `batch == 1`
-/// this reduces to the serial loop.
-///
-/// # Panics
-///
-/// Panics if `cfg.iterations == 0` or `batch == 0`.
-pub fn search_parallel(
-    generator: &(dyn DatasetGenerator + Sync),
-    target_profile: &Profile,
-    cfg: &SearchConfig,
-    batch: usize,
-) -> SearchOutcome {
-    assert!(batch > 0, "batch must be positive");
-    search_with_runtime(
-        generator,
-        target_profile,
-        cfg,
-        &RuntimeOptions::parallel(batch),
-    )
-    // audit:allow(panic-safety): search_with_runtime only fails on journal I/O, and these options set no journal
-    .expect("journal-less parallel run cannot fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::KvGenerator;
-    use crate::metrics::DistMetric;
-    use crate::workload::Workload;
     use datamime_apps::KvConfig;
+
+    /// The sequential search (`batch_k = 1`), unwrapped: no option that
+    /// can fail is set.
+    fn sequential(
+        generator: &(dyn DatasetGenerator + Sync),
+        target: &Profile,
+        cfg: &SearchConfig,
+    ) -> SearchOutcome {
+        search_with_runtime(generator, target, cfg, &RuntimeOptions::sequential()).unwrap()
+    }
+
+    /// `batch` candidates per optimizer batch on as many threads.
+    fn batched(
+        generator: &(dyn DatasetGenerator + Sync),
+        target: &Profile,
+        cfg: &SearchConfig,
+        batch: usize,
+    ) -> SearchOutcome {
+        search_with_runtime(generator, target, cfg, &RuntimeOptions::parallel(batch)).unwrap()
+    }
 
     fn small_target() -> Workload {
         let mut w = Workload::mem_fb();
@@ -772,7 +853,7 @@ mod tests {
         };
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let outcome = search(&KvGenerator::new(), &target, &cfg);
+        let outcome = sequential(&KvGenerator::new(), &target, &cfg);
 
         assert_eq!(outcome.history.len(), 14);
         let mins = outcome.running_min();
@@ -795,7 +876,7 @@ mod tests {
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let outcome = search(&KvGenerator::new(), &target, &cfg);
+        let outcome = sequential(&KvGenerator::new(), &target, &cfg);
         assert_eq!(outcome.history.len(), 5);
         assert!(outcome.best_error.is_finite());
     }
@@ -806,9 +887,9 @@ mod tests {
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let par = search_parallel(&KvGenerator::new(), &target, &cfg, 4);
+        let par = batched(&KvGenerator::new(), &target, &cfg, 4);
         assert_eq!(par.history.len(), 12);
-        let ser = search(&KvGenerator::new(), &target, &cfg);
+        let ser = sequential(&KvGenerator::new(), &target, &cfg);
         // Parallel batches explore slightly differently but must land in
         // the same quality regime.
         assert!(
@@ -825,8 +906,8 @@ mod tests {
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let a = search_parallel(&KvGenerator::new(), &target, &cfg, 3);
-        let b = search_parallel(&KvGenerator::new(), &target, &cfg, 3);
+        let a = batched(&KvGenerator::new(), &target, &cfg, 3);
+        let b = batched(&KvGenerator::new(), &target, &cfg, 3);
         assert_eq!(a.best_error, b.best_error);
         assert_eq!(a.best_unit_params, b.best_unit_params);
     }
@@ -837,7 +918,7 @@ mod tests {
         let cfg = SearchConfig::fast(0);
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        search(&KvGenerator::new(), &target, &cfg);
+        sequential(&KvGenerator::new(), &target, &cfg);
     }
 
     #[test]
@@ -923,7 +1004,7 @@ mod tests {
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let outcome = search(
+        let outcome = sequential(
             &QuantizedGenerator::new(KvGenerator::new(), 4),
             &target,
             &cfg,
@@ -950,7 +1031,7 @@ mod tests {
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let outcome = search(&KvGenerator::new(), &target, &cfg);
+        let outcome = sequential(&KvGenerator::new(), &target, &cfg);
         let fresh = profile_workload(&outcome.best_workload, &cfg.machine, &cfg.profiling);
         assert_eq!(
             outcome.best_profile.to_tsv(),
@@ -993,25 +1074,251 @@ mod tests {
         }
     }
 
+    /// The paper's Fig. 5 loop written out by hand: suggest, instantiate,
+    /// profile, score, observe — no executor, memo or supervisor.
+    fn textbook_loop(
+        generator: &dyn DatasetGenerator,
+        target: &Profile,
+        cfg: &SearchConfig,
+    ) -> Vec<(Vec<f64>, f64)> {
+        let mut bo = BayesOpt::new(BoConfig::for_dims(generator.dims()), cfg.seed);
+        (0..cfg.iterations)
+            .map(|_| {
+                let unit = bo.suggest();
+                let w = generator.instantiate(&unit);
+                let p = profile_workload(&w, &cfg.machine, &cfg.profiling);
+                let emd = || profile_error(target, &p, &cfg.weights).total;
+                let error = match cfg.objective {
+                    Objective::ProfileEmd => emd(),
+                    Objective::CompressionRatio {
+                        target_ratio,
+                        weight,
+                    } => {
+                        let ratio =
+                            workload_compression_ratio(&w).map(|r| (r - target_ratio).abs());
+                        emd() + weight * ratio.unwrap_or(1.0)
+                    }
+                    Objective::Scalar { metric, target } => {
+                        (p.mean(metric) - target).abs() / target.abs().max(1e-3)
+                    }
+                };
+                bo.observe(unit.clone(), error);
+                (unit, error)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sequential_runtime_matches_textbook_loop_for_every_objective() {
+        use crate::compress::KvGeneratorCompressible;
+        let mut cfg = SearchConfig::fast(14);
+        cfg.profiling = cfg.profiling.without_curves();
+        let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
+        let kv = KvGenerator::new();
+        let compressible = KvGeneratorCompressible::new();
+        let cases: [(&(dyn DatasetGenerator + Sync), Objective); 3] = [
+            (&kv, Objective::ProfileEmd),
+            (
+                &kv,
+                Objective::Scalar {
+                    metric: DistMetric::Ipc,
+                    target: 1.0,
+                },
+            ),
+            (
+                &compressible,
+                Objective::CompressionRatio {
+                    target_ratio: 0.5,
+                    weight: 2.0,
+                },
+            ),
+        ];
+        for (generator, objective) in cases {
+            // Run past the initial design so GP-driven suggestions are
+            // compared too.
+            let cfg = SearchConfig {
+                iterations: BoConfig::for_dims(generator.dims()).init_points + 2,
+                objective,
+                ..cfg.clone()
+            };
+            let reference = textbook_loop(generator, &target, &cfg);
+            let runtime = sequential(generator, &target, &cfg);
+            assert_eq!(runtime.history.len(), reference.len(), "{objective:?}");
+            for (rec, (unit, error)) in runtime.history.iter().zip(&reference) {
+                assert_eq!(&rec.unit_params, unit, "{objective:?}");
+                assert_eq!(rec.error.to_bits(), error.to_bits(), "{objective:?}");
+            }
+            let best = reference
+                .iter()
+                .map(|(_, e)| *e)
+                .fold(f64::INFINITY, f64::min);
+            assert_eq!(
+                runtime.best_error.to_bits(),
+                best.to_bits(),
+                "{objective:?}"
+            );
+        }
+    }
+
     #[test]
     fn batch_one_runtime_matches_plain_search() {
         let mut cfg = SearchConfig::fast(8);
         cfg.profiling = cfg.profiling.without_curves();
         let machine = cfg.machine.clone();
         let target = profile_workload(&small_target(), &machine, &cfg.profiling);
-        let plain = search(&KvGenerator::new(), &target, &cfg);
-        let runtime = search_with_runtime(
-            &KvGenerator::new(),
-            &target,
-            &cfg,
-            &RuntimeOptions::sequential(),
-        )
-        .unwrap();
-        assert_eq!(plain.best_unit_params, runtime.best_unit_params);
-        assert_eq!(plain.best_error.to_bits(), runtime.best_error.to_bits());
-        for (a, b) in plain.history.iter().zip(&runtime.history) {
+        let plain = textbook_loop(&KvGenerator::new(), &target, &cfg);
+        let runtime = sequential(&KvGenerator::new(), &target, &cfg);
+        let (best_unit, best_error) = plain
+            .iter()
+            .fold(None::<&(Vec<f64>, f64)>, |best, p| match best {
+                Some(b) if b.1 <= p.1 => Some(b),
+                _ => Some(p),
+            })
+            .unwrap();
+        assert_eq!(best_unit, &runtime.best_unit_params);
+        assert_eq!(best_error.to_bits(), runtime.best_error.to_bits());
+        assert_eq!(plain.len(), runtime.history.len());
+        for ((unit, error), b) in plain.iter().zip(&runtime.history) {
+            assert_eq!(unit, &b.unit_params);
+            assert_eq!(error.to_bits(), b.error.to_bits());
+        }
+    }
+
+    #[test]
+    fn lcb_shares_the_initial_design_and_differs_only_in_the_optimizer_tag() {
+        let dir = std::env::temp_dir().join(format!("datamime-lcb-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = SearchConfig::fast(0);
+        cfg.profiling = cfg.profiling.without_curves();
+        let init = BoConfig::for_dims(KvGenerator::new().dims()).init_points;
+        cfg.iterations = init + 1;
+        let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
+        let run = |optimizer: OptimizerKind| {
+            let journal = dir.join(format!("{}.jsonl", optimizer.tag()));
+            let cfg = SearchConfig {
+                optimizer,
+                ..cfg.clone()
+            };
+            let opts = RuntimeOptions {
+                journal: Some(journal.clone()),
+                ..RuntimeOptions::sequential()
+            };
+            let outcome = search_with_runtime(&KvGenerator::new(), &target, &cfg, &opts).unwrap();
+            (outcome, replay(&journal).unwrap().meta)
+        };
+        let (ei, ei_meta) = run(OptimizerKind::Bayesian);
+        let (lcb, lcb_meta) = run(OptimizerKind::BayesianLcb);
+        let _ = std::fs::remove_dir_all(&dir);
+        for (a, b) in ei.history.iter().zip(&lcb.history).take(init) {
             assert_eq!(a.unit_params, b.unit_params);
             assert_eq!(a.error.to_bits(), b.error.to_bits());
         }
+        assert_eq!(
+            (ei_meta.optimizer.as_str(), lcb_meta.optimizer.as_str()),
+            ("bayesian", "bayesian-lcb")
+        );
+        assert_eq!(
+            RunMeta {
+                optimizer: String::new(),
+                ..ei_meta
+            },
+            RunMeta {
+                optimizer: String::new(),
+                ..lcb_meta
+            }
+        );
+    }
+
+    #[test]
+    fn process_backend_rejects_non_default_objectives_before_spawning() {
+        let mut cfg = SearchConfig::fast(1);
+        cfg.objective = Objective::Scalar {
+            metric: DistMetric::Ipc,
+            target: 1.0,
+        };
+        cfg.profiling = cfg.profiling.without_curves();
+        let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
+        let opts = RuntimeOptions {
+            backend: BackendChoice::Process(ProcOptions {
+                workers: 1,
+                // A worker that would fail loudly if it were ever spawned.
+                worker_bin: Some(PathBuf::from("/nonexistent/datamime-worker")),
+            }),
+            ..RuntimeOptions::sequential()
+        };
+        match search_with_runtime(&KvGenerator::new(), &target, &cfg, &opts) {
+            Err(ExecError::Backend(msg)) => assert!(msg.contains("objective"), "{msg}"),
+            other => panic!(
+                "expected a backend error, got {:?}",
+                other.map(|o| o.best_error)
+            ),
+        }
+    }
+
+    #[test]
+    fn objective_is_folded_into_the_run_label_and_checked_on_resume() {
+        let dir = std::env::temp_dir().join(format!("datamime-objlabel-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("scalar.jsonl");
+        let mut cfg = SearchConfig::fast(2);
+        cfg.profiling = cfg.profiling.without_curves();
+        cfg.objective = Objective::Scalar {
+            metric: DistMetric::Ipc,
+            target: 1.0,
+        };
+        let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
+        let opts = RuntimeOptions {
+            journal: Some(journal.clone()),
+            ..RuntimeOptions::sequential()
+        };
+        search_with_runtime(&KvGenerator::new(), &target, &cfg, &opts).unwrap();
+        let label = replay(&journal).unwrap().meta.label;
+        assert_eq!(
+            label,
+            format!("memcached/scalar:ipc:{:016x}", 1.0f64.to_bits())
+        );
+
+        // The same journal resumed under another objective is refused.
+        cfg.objective = Objective::Scalar {
+            metric: DistMetric::Ipc,
+            target: 2.0,
+        };
+        let resume = RuntimeOptions {
+            resume: Some(journal.clone()),
+            ..RuntimeOptions::sequential()
+        };
+        let err = search_with_runtime(&KvGenerator::new(), &target, &cfg, &resume);
+        let _ = std::fs::remove_dir_all(&dir);
+        match err {
+            Err(ExecError::ResumeMismatch(msg)) => assert!(msg.contains("label"), "{msg}"),
+            other => panic!(
+                "expected a resume mismatch, got {:?}",
+                other.map(|o| o.best_error)
+            ),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "target must be finite")]
+    fn non_finite_scalar_target_panics() {
+        let mut cfg = SearchConfig::fast(1);
+        cfg.objective = Objective::Scalar {
+            metric: DistMetric::Ipc,
+            target: f64::NAN,
+        };
+        let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
+        sequential(&KvGenerator::new(), &target, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be non-negative")]
+    fn negative_ratio_weight_panics() {
+        let mut cfg = SearchConfig::fast(1);
+        cfg.objective = Objective::CompressionRatio {
+            target_ratio: 0.5,
+            weight: -1.0,
+        };
+        let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
+        sequential(&KvGenerator::new(), &target, &cfg);
     }
 }

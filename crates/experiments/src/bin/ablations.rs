@@ -8,7 +8,9 @@
 //!
 //! Each ablation runs the real Datamime search on the (scaled) `mem-fb`
 //! target and reports the final best error under the *EMD-equal* yardstick
-//! so numbers are comparable across arms.
+//! so numbers are comparable across arms. Every arm shares one
+//! `SearchConfig` and one `RuntimeOptions` and changes only the knob it
+//! ablates, so each baseline is the optimizer arm's `bayesian` run.
 
 #![forbid(unsafe_code)]
 use datamime::error_model::{profile_error, DistanceKind, MetricWeights};
@@ -74,47 +76,17 @@ fn main() {
         score(&ks)
     ));
 
-    // 3. Acquisition function. The search loop always uses EI; emulate LCB
-    // by swapping the optimizer configuration at the bayesopt level and
-    // driving the bare optimizer directly on the runtime executor.
+    // 3. Acquisition function: the optimizer arm's `bayesian` run is the
+    // expected-improvement arm; only the acquisition changes.
     eprintln!("ablation 3: acquisition ...");
-    {
-        use datamime::generator::DatasetGenerator;
-        use datamime_bayesopt::{Acquisition, BayesOpt, BoConfig};
-        use datamime_runtime::{Executor, RunMeta};
-        let generator = KvGenerator::new();
-        let run_with = |acq: Acquisition| {
-            let mut cfg = BoConfig::for_dims(generator.dims());
-            cfg.acquisition = acq;
-            let mut bo = BayesOpt::new(cfg, 0xAB1A);
-            let meta = RunMeta {
-                label: format!("ablation-acquisition-{acq:?}"),
-                seed: 0xAB1A,
-                dims: generator.dims(),
-                iterations: iters,
-                batch_k: 1,
-                workers: 1,
-                optimizer: "bayesian".to_string(),
-            };
-            let outcome = Executor::new(meta)
-                .run_seq(&mut bo, &mut |unit, stages, _cancel| {
-                    let w = stages.time("instantiate", || generator.instantiate(unit));
-                    let p = stages.time("profile", || {
-                        profile_workload(&w, &base_cfg.machine, &base_cfg.profiling)
-                    });
-                    stages.time("error", || {
-                        profile_error(&target_profile, &p, &yardstick).total
-                    })
-                })
-                .expect("journal-less run cannot fail");
-            outcome.best_error
-        };
-        r.line(format!(
-            "acquisition @ {iters} iters: expected-improvement {:.4}  lower-confidence-bound {:.4}",
-            run_with(Acquisition::ExpectedImprovement),
-            run_with(Acquisition::LowerConfidenceBound)
-        ));
-    }
+    let mut lcb_cfg = base_cfg.clone();
+    lcb_cfg.optimizer = OptimizerKind::BayesianLcb;
+    let lcb = run(&lcb_cfg);
+    r.line(format!(
+        "acquisition @ {iters} iters: expected-improvement {:.4}  lower-confidence-bound {:.4}",
+        score(&bo),
+        score(&lcb)
+    ));
 
     r.finish();
 }

@@ -9,24 +9,19 @@
 //! should match both the performance profile and the compression ratio.
 
 #![forbid(unsafe_code)]
-use datamime::compress::{
-    search_compress_aware, workload_compression_ratio, KvGeneratorCompressible,
-};
+use datamime::compress::{workload_compression_ratio, KvGeneratorCompressible};
 use datamime::generator::DatasetGenerator;
 use datamime::metrics::DistMetric;
 use datamime::profiler::profile_workload;
+use datamime::search::{search_with_runtime, Objective};
 use datamime::workload::{AppConfig, Workload};
-use datamime_apps::KvConfig;
 use datamime_experiments::{Report, Settings};
 
 fn main() {
     let s = Settings::from_env();
     let mut r = Report::new("ext_compress");
-    let cfg = {
-        let mut c = s.search_config();
-        c.profiling = c.profiling.without_curves();
-        c
-    };
+    let mut cfg = s.search_config();
+    cfg.profiling = cfg.profiling.without_curves();
 
     for target_redundancy in [0.2, 0.8] {
         eprintln!("== target redundancy {target_redundancy} ==");
@@ -39,7 +34,12 @@ fn main() {
         let target_profile = profile_workload(&target, &cfg.machine, &cfg.profiling);
 
         let generator = KvGeneratorCompressible::new();
-        let outcome = search_compress_aware(&generator, &target_profile, target_ratio, 2.0, &cfg);
+        cfg.objective = Objective::CompressionRatio {
+            target_ratio,
+            weight: 2.0,
+        };
+        let outcome = search_with_runtime(&generator, &target_profile, &cfg, &s.runtime_options())
+            .expect("journal-less search cannot fail");
         let achieved_ratio =
             workload_compression_ratio(&outcome.best_workload).expect("generator emits contents");
 
@@ -69,6 +69,5 @@ fn main() {
         "plain mem-fb snapshot ratio: {:?} (no content model -> None)",
         workload_compression_ratio(&plain)
     ));
-    let _ = KvConfig::facebook_like(); // referenced for doc purposes
     r.finish();
 }

@@ -9,9 +9,9 @@
 
 #![forbid(unsafe_code)]
 use datamime::constrained::{ConstrainedGenerator, ParamConstraint};
-use datamime::generator::KvGenerator;
+use datamime::generator::{DatasetGenerator, KvGenerator};
 use datamime::profiler::profile_workload;
-use datamime::search::search;
+use datamime::search::search_with_runtime;
 use datamime::workload::{AppConfig, Workload};
 use datamime_experiments::{row, Report, Settings};
 
@@ -39,11 +39,15 @@ fn main() {
     ];
 
     eprintln!("unconstrained search ...");
-    let plain = search(&KvGenerator::new(), &target_profile, &cfg);
+    let search = |generator: &(dyn DatasetGenerator + Sync)| {
+        search_with_runtime(generator, &target_profile, &cfg, &s.runtime_options())
+            .expect("journal-less search cannot fail")
+    };
+    let plain = search(&KvGenerator::new());
     eprintln!("constrained search ...");
     let constrained_gen =
         ConstrainedGenerator::new(KvGenerator::new(), &constraints).expect("valid constraints");
-    let constrained = search(&constrained_gen, &target_profile, &cfg);
+    let constrained = search(&constrained_gen);
 
     let decimate = |mins: &[f64]| -> Vec<f64> {
         let step = (mins.len() / 10).max(1);

@@ -8,7 +8,8 @@ use datamime::generator::{
     DatasetGenerator, DnnGenerator, KvGenerator, SiloGenerator, XapianGenerator,
 };
 use datamime::metrics::DistMetric;
-use datamime::scalar::{scalar_sweep, ScalarSearchConfig};
+use datamime::scalar::scalar_sweep;
+use datamime::search::SearchConfig;
 use datamime_experiments::{row, Report, Settings};
 
 fn main() {
@@ -18,11 +19,12 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(8); // the paper uses 15
-    let mut cfg = ScalarSearchConfig::fast(s.iters / 2);
-    cfg.iterations = (s.iters / 2).max(6);
+    let mut cfg = SearchConfig::fast((s.iters / 2).max(6));
     cfg.profiling = s.profiling.clone().without_curves();
+    cfg.seed = 0x5CA1A7;
+    let opts = s.runtime_options();
 
-    let gens: Vec<Box<dyn DatasetGenerator>> = vec![
+    let gens: Vec<Box<dyn DatasetGenerator + Sync>> = vec![
         Box::new(KvGenerator::new()),
         Box::new(SiloGenerator::new()),
         Box::new(XapianGenerator::new()),
@@ -36,7 +38,8 @@ fn main() {
         r.line(format!("-- target metric: {} --", metric.key()));
         for g in &gens {
             eprintln!("== {} / {} ==", g.name(), metric.key());
-            let outcomes = scalar_sweep(g.as_ref(), metric, lo, hi, points, &cfg);
+            let outcomes = scalar_sweep(g.as_ref(), metric, lo, hi, points, &cfg, &opts)
+                .expect("journal-less sweep cannot fail");
             let req: Vec<f64> = outcomes.iter().map(|o| o.requested).collect();
             let ach: Vec<f64> = outcomes.iter().map(|o| o.achieved).collect();
             r.line(format!("  [{}]", g.name()));

@@ -7,7 +7,7 @@
 use datamime::generator::{DatasetGenerator, KvGenerator, ParamSpec};
 use datamime::metrics::{CurveMetric, DistMetric};
 use datamime::profiler::profile_workload;
-use datamime::search::search;
+use datamime::search::search_with_runtime;
 use datamime::workload::{AppConfig, Workload};
 use datamime_experiments::{row, Report, Settings};
 
@@ -52,7 +52,9 @@ fn main() {
     eprintln!("profiling networked target ...");
     let t = profile_workload(&target, &cfg.machine, &cfg.profiling);
     eprintln!("searching ({} iterations) ...", cfg.iterations);
-    let outcome = search(&NetworkedKvGenerator(KvGenerator::new()), &t, &cfg);
+    let generator = NetworkedKvGenerator(KvGenerator::new());
+    let outcome = search_with_runtime(&generator, &t, &cfg, &s.runtime_options())
+        .expect("journal-less search cannot fail");
     let d = outcome.best_profile;
 
     r.line(format!(

@@ -9,8 +9,8 @@
 //!
 //! With `batch_k = 1` and one worker the executor degenerates to exactly
 //! the paper's sequential suggest → evaluate → observe loop, which is how
-//! `datamime::search::search()` runs on top of it without changing any
-//! result.
+//! `datamime::search::search_with_runtime` runs with sequential options
+//! without changing any result.
 //!
 //! # Fault tolerance
 //!

@@ -12,7 +12,7 @@
 use datamime::generator::{DatasetGenerator, KvGenerator};
 use datamime::metrics::DistMetric;
 use datamime::profiler::profile_workload;
-use datamime::search::{search, SearchConfig};
+use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::workload::Workload;
 
 fn main() {
@@ -36,7 +36,9 @@ fn main() {
         "cloning with program `{}` ({iters} iterations) ...",
         generator.name()
     );
-    let outcome = search(&generator, &target_profile, &cfg);
+    let opts = RuntimeOptions::sequential();
+    let outcome = search_with_runtime(&generator, &target_profile, &cfg, &opts)
+        .expect("journal-less search cannot fail");
 
     println!("\nbest error {:.4}", outcome.best_error);
     println!(

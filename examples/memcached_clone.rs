@@ -14,7 +14,7 @@
 use datamime::generator::{DatasetGenerator, KvGenerator};
 use datamime::metrics::DistMetric;
 use datamime::profiler::profile_workload;
-use datamime::search::{search, SearchConfig};
+use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::workload::Workload;
 use datamime_sim::MachineConfig;
 
@@ -34,7 +34,9 @@ fn main() {
 
     println!("== step 2: datamime search ({iters} iterations) ==");
     let generator = KvGenerator::new();
-    let outcome = search(&generator, &target_profile, &cfg);
+    let opts = RuntimeOptions::sequential();
+    let outcome = search_with_runtime(&generator, &target_profile, &cfg, &opts)
+        .expect("journal-less search cannot fail");
     println!("best error {:.4}; parameters:", outcome.best_error);
     for (name, value) in generator.describe(&outcome.best_unit_params) {
         println!("  {name:>18} = {value:.2}");

@@ -9,7 +9,7 @@ use datamime::error_model::{profile_error, MetricWeights};
 use datamime::generator::{DatasetGenerator, XapianGenerator};
 use datamime::metrics::{CurveMetric, DistMetric};
 use datamime::profiler::profile_workload;
-use datamime::search::{search, SearchConfig};
+use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::workload::Workload;
 
 fn main() {
@@ -31,7 +31,9 @@ fn main() {
         "searching the StackOverflow-corpus generator ({} params) for {iters} iterations ...",
         generator.dims()
     );
-    let outcome = search(&generator, &target_profile, &cfg);
+    let opts = RuntimeOptions::sequential();
+    let outcome = search_with_runtime(&generator, &target_profile, &cfg, &opts)
+        .expect("journal-less search cannot fail");
 
     println!(
         "\nbest error {:.4}; synthesized dataset:",

@@ -55,6 +55,12 @@ fi
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps -q"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# The end-to-end benchmark harness (perfbench/harness) is a package of
+# its own outside the workspace, so nothing above compiles it; building
+# it here catches public-API drift in the crates it drives.
+echo "==> CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet --manifest-path perfbench/harness/Cargo.toml"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --quiet --manifest-path perfbench/harness/Cargo.toml
+
 # Tier-1 gate.
 if [ -z "${SKIP_TESTS:-}" ]; then
   run cargo build --release

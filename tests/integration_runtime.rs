@@ -1,11 +1,14 @@
 //! Integration of the full Datamime search with the `datamime-runtime`
-//! executor: batch-one equivalence with the legacy loop, and crash-safe
-//! journal resume on a real generator + simulated profiler.
+//! executor: batch-one equivalence with the plain sequential loop, and
+//! crash-safe journal resume on a real generator + simulated profiler.
 
-use datamime::generator::KvGenerator;
+use datamime::error_model::profile_error;
+use datamime::generator::{DatasetGenerator, KvGenerator};
+use datamime::profile::Profile;
 use datamime::profiler::profile_workload;
-use datamime::search::{search, search_with_runtime, RuntimeOptions, SearchConfig};
+use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::workload::Workload;
+use datamime_bayesopt::{BayesOpt, BlackBoxOptimizer, BoConfig};
 use std::fs;
 use std::path::PathBuf;
 
@@ -24,11 +27,32 @@ fn fast_config(iterations: usize) -> SearchConfig {
     cfg
 }
 
+/// The plain sequential Datamime loop (suggest, instantiate, profile,
+/// score, observe) written against the public API, with no executor,
+/// memo or journal: the reference the batch-one runtime must reproduce.
+fn legacy_search(
+    generator: &dyn DatasetGenerator,
+    target: &Profile,
+    cfg: &SearchConfig,
+) -> Vec<(Vec<f64>, f64)> {
+    let mut bo = BayesOpt::new(BoConfig::for_dims(generator.dims()), cfg.seed);
+    (0..cfg.iterations)
+        .map(|_| {
+            let unit = bo.suggest();
+            let w = generator.instantiate(&unit);
+            let p = profile_workload(&w, &cfg.machine, &cfg.profiling);
+            let error = profile_error(target, &p, &cfg.weights).total;
+            bo.observe(unit.clone(), error);
+            (unit, error)
+        })
+        .collect()
+}
+
 #[test]
 fn runtime_batch_one_is_bit_for_bit_the_legacy_search() {
     let cfg = fast_config(8);
     let target = profile_workload(&Workload::mem_fb(), &cfg.machine, &cfg.profiling);
-    let legacy = search(&KvGenerator::new(), &target, &cfg);
+    let legacy = legacy_search(&KvGenerator::new(), &target, &cfg);
     let runtime = search_with_runtime(
         &KvGenerator::new(),
         &target,
@@ -36,12 +60,19 @@ fn runtime_batch_one_is_bit_for_bit_the_legacy_search() {
         &RuntimeOptions::sequential(),
     )
     .unwrap();
-    assert_eq!(legacy.best_unit_params, runtime.best_unit_params);
-    assert_eq!(legacy.best_error.to_bits(), runtime.best_error.to_bits());
-    assert_eq!(legacy.history.len(), runtime.history.len());
-    for (a, b) in legacy.history.iter().zip(&runtime.history) {
-        assert_eq!(a.unit_params, b.unit_params);
-        assert_eq!(a.error.to_bits(), b.error.to_bits());
+    let (best_unit, best_error) = legacy
+        .iter()
+        .fold(None::<&(Vec<f64>, f64)>, |best, p| match best {
+            Some(b) if b.1 <= p.1 => Some(b),
+            _ => Some(p),
+        })
+        .unwrap();
+    assert_eq!(best_unit, &runtime.best_unit_params);
+    assert_eq!(best_error.to_bits(), runtime.best_error.to_bits());
+    assert_eq!(legacy.len(), runtime.history.len());
+    for ((unit, error), b) in legacy.iter().zip(&runtime.history) {
+        assert_eq!(unit, &b.unit_params);
+        assert_eq!(error.to_bits(), b.error.to_bits());
     }
 }
 

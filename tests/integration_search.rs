@@ -3,9 +3,21 @@
 use datamime::error_model::MetricWeights;
 use datamime::generator::{DatasetGenerator, KvGenerator};
 use datamime::metrics::DistMetric;
+use datamime::profile::Profile;
 use datamime::profiler::profile_workload;
-use datamime::search::{search, OptimizerKind, SearchConfig};
+use datamime::search::{
+    search_with_runtime, OptimizerKind, RuntimeOptions, SearchConfig, SearchOutcome,
+};
 use datamime::workload::{AppConfig, Workload};
+
+/// The sequential search (`batch_k = 1`); no option that can fail is set.
+fn sequential(
+    generator: &(dyn DatasetGenerator + Sync),
+    target: &Profile,
+    cfg: &SearchConfig,
+) -> SearchOutcome {
+    search_with_runtime(generator, target, cfg, &RuntimeOptions::sequential()).unwrap()
+}
 
 fn small_target() -> Workload {
     let mut w = Workload::mem_fb();
@@ -23,7 +35,7 @@ fn search_beats_the_median_random_point() {
     let mut cfg = SearchConfig::fast(16);
     cfg.profiling = cfg.profiling.without_curves();
     let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
-    let outcome = search(&KvGenerator::new(), &target, &cfg);
+    let outcome = sequential(&KvGenerator::new(), &target, &cfg);
 
     // The best point must improve substantially over the typical evaluated
     // point (i.e. the search actually discriminates).
@@ -42,7 +54,7 @@ fn running_min_is_monotone_and_ends_at_best() {
     let mut cfg = SearchConfig::fast(10);
     cfg.profiling = cfg.profiling.without_curves();
     let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
-    let outcome = search(&KvGenerator::new(), &target, &cfg);
+    let outcome = sequential(&KvGenerator::new(), &target, &cfg);
     let mins = outcome.running_min();
     for w in mins.windows(2) {
         assert!(w[1] <= w[0]);
@@ -62,11 +74,9 @@ fn weighting_ipc_tightens_the_ipc_match() {
     let mut weighted = base.clone();
     weighted.weights = MetricWeights::equal().with_dist_weight(DistMetric::Ipc, 8.0);
 
-    let plain = search(&KvGenerator::new(), &target, &base);
-    let ipc_focused = search(&KvGenerator::new(), &target, &weighted);
-    let err = |o: &datamime::search::SearchOutcome| {
-        (o.best_profile.mean(DistMetric::Ipc) - t_ipc).abs() / t_ipc
-    };
+    let plain = sequential(&KvGenerator::new(), &target, &base);
+    let ipc_focused = sequential(&KvGenerator::new(), &target, &weighted);
+    let err = |o: &SearchOutcome| (o.best_profile.mean(DistMetric::Ipc) - t_ipc).abs() / t_ipc;
     // The IPC-weighted search must achieve a competitive-or-better IPC.
     assert!(
         err(&ipc_focused) <= err(&plain) + 0.05,
@@ -82,10 +92,10 @@ fn bayesian_matches_or_beats_random_at_equal_budget() {
     cfg.profiling = cfg.profiling.without_curves();
     let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
 
-    let bo = search(&KvGenerator::new(), &target, &cfg);
+    let bo = sequential(&KvGenerator::new(), &target, &cfg);
     let mut rnd_cfg = cfg.clone();
     rnd_cfg.optimizer = OptimizerKind::Random;
-    let rnd = search(&KvGenerator::new(), &target, &rnd_cfg);
+    let rnd = sequential(&KvGenerator::new(), &target, &rnd_cfg);
     assert!(
         bo.best_error <= rnd.best_error * 1.25,
         "BO {} should not lose badly to random {}",
@@ -100,7 +110,7 @@ fn best_workload_parameters_are_in_range() {
     cfg.profiling = cfg.profiling.without_curves();
     let target = profile_workload(&small_target(), &cfg.machine, &cfg.profiling);
     let generator = KvGenerator::new();
-    let outcome = search(&generator, &target, &cfg);
+    let outcome = sequential(&generator, &target, &cfg);
     for ((name, value), spec) in generator
         .describe(&outcome.best_unit_params)
         .into_iter()

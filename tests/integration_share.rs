@@ -7,7 +7,7 @@ use datamime::generator::KvGenerator;
 use datamime::metrics::DistMetric;
 use datamime::profile::Profile;
 use datamime::profiler::profile_workload;
-use datamime::search::{search, search_parallel, SearchConfig};
+use datamime::search::{search_with_runtime, RuntimeOptions, SearchConfig};
 use datamime::workload::{AppConfig, Workload};
 
 fn small_target() -> Workload {
@@ -31,7 +31,13 @@ fn shared_profile_drives_the_search() {
     // Third-party side: parse and search. No Workload object crosses the
     // boundary — only the TSV text.
     let imported = Profile::from_tsv(&exported).expect("valid exported profile");
-    let outcome = search(&KvGenerator::new(), &imported, &cfg);
+    let outcome = search_with_runtime(
+        &KvGenerator::new(),
+        &imported,
+        &cfg,
+        &RuntimeOptions::sequential(),
+    )
+    .unwrap();
     assert!(outcome.best_error.is_finite());
 
     // The synthesized benchmark should land near the shared profile's IPC.
@@ -60,7 +66,13 @@ fn parallel_search_from_shared_profile() {
     cfg.profiling = cfg.profiling.without_curves();
     let tsv = profile_workload(&small_target(), &cfg.machine, &cfg.profiling).to_tsv();
     let imported = Profile::from_tsv(&tsv).unwrap();
-    let outcome = search_parallel(&KvGenerator::new(), &imported, &cfg, 4);
+    let outcome = search_with_runtime(
+        &KvGenerator::new(),
+        &imported,
+        &cfg,
+        &RuntimeOptions::parallel(4),
+    )
+    .unwrap();
     assert_eq!(outcome.history.len(), 8);
     assert!(outcome.best_error.is_finite());
 }
